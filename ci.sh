@@ -150,4 +150,14 @@ done
 echo "== bench_campaign --check: forged-injection speedup + adoption alloc discipline =="
 cargo run --release -p osiris-bench --bin bench_campaign -- --check
 
+echo "== perfbench pins: unixbench cycles, 536 Table II outcomes, forge digest =="
+for workload in unixbench campaign_boot campaign_forge; do
+    result="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+    grep -q '"failed": 0' <<<"$result" || {
+        echo "perfbench $workload missed its pins: $result" >&2
+        exit 1
+    }
+done
+
 echo "ci.sh: all gates passed"

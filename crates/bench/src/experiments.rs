@@ -369,7 +369,7 @@ fn osiris_engine(policy: PolicyKind, instr: Instrumentation) -> Os {
     })
 }
 
-fn bench_score<E: OsEngine>(engine: E, bench: &str, scale: f64) -> f64 {
+fn bench_score<E: OsEngine + Send + 'static>(engine: E, bench: &str, scale: f64) -> f64 {
     let iters = ((default_iters(bench) as f64 * scale) as u64).max(2);
     let r = run_benchmark_with(engine, ub_registry(), bench, iters, false);
     assert!(r.ok, "benchmark {} failed", bench);

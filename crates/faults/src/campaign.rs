@@ -453,7 +453,8 @@ impl Campaign {
             .or_default()
             .add(rec.outcome);
         st.done += 1;
-        let crash_dump = if rec.outcome == Outcome::Crash
+        let crash_dump = if self.live
+            && rec.outcome == Outcome::Crash
             && rec.blackbox.is_some()
             && st.blackbox_dumps < self.max_blackbox_dumps
         {
@@ -733,6 +734,16 @@ mod tests {
             Some(osiris_metrics::SeriesValue::Counter(1)) => {}
             other => panic!("unexpected: {other:?}"),
         }
+    }
+
+    #[test]
+    fn quiet_campaign_dumps_no_black_box() {
+        let c = Campaign::new("t", FaultModel::FailStop, 1).quiet();
+        let mut crash = rec("naive", "vfs", Outcome::Crash);
+        crash.blackbox = Some("flight-recorder tail".into());
+        c.record(crash);
+        assert_eq!(c.done(), 1);
+        assert_eq!(c.inner.lock().unwrap().blackbox_dumps, 0);
     }
 
     #[test]

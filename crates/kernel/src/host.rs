@@ -1,20 +1,26 @@
-//! The user-process host: runs workload programs as real threads in strict
-//! lock-step with a simulated OS.
+//! The user-process host: runs workload programs as real threads, one at a
+//! time, against a simulated OS.
 //!
 //! Programs are ordinary Rust closures that issue syscalls through a
-//! [`Sys`] handle. Exactly one process executes at any instant: the host
-//! resumes a process, then blocks until that process issues its next action
-//! (syscall, compute, exit). Syscall arrival order is therefore fully
-//! deterministic, which the fault-injection experiments depend on.
+//! [`Sys`] handle. The host passes a *baton*: its state (the engine, the
+//! process table, pending calls, the resume queue) sits behind one mutex
+//! that only the running process's thread holds; the caller of
+//! [`Host::run`] runs init, and holds it before init starts. A process
+//! handles its own action inline: it submits, pumps the OS and picks the
+//! next process. If that is itself, the reply returns with no thread
+//! switch; otherwise the input goes to the chosen process's thread and the
+//! caller parks. The decisions do not depend on which thread makes them,
+//! so syscall arrival order is fully deterministic, which the
+//! fault-injection experiments depend on.
 //!
 //! The host is generic over [`OsEngine`], implemented both by the
 //! compartmentalized OSIRIS OS (`osiris-servers`) and by the monolithic
 //! baseline (`osiris-monolith`).
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
+use std::any::Any;
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
 use std::thread::JoinHandle;
 
 use crate::abi::{Errno, Fd, FileStat, OpenFlags, Pid, SeekFrom, Signal, SysReply, Syscall};
@@ -51,10 +57,8 @@ pub struct ProgramRegistry {
 
 impl std::fmt::Debug for ProgramRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut names: Vec<_> = self.map.keys().collect();
-        names.sort();
         f.debug_struct("ProgramRegistry")
-            .field("programs", &names)
+            .field("programs", &self.names())
             .finish()
     }
 }
@@ -89,6 +93,7 @@ impl ProgramRegistry {
 /// Closure run by a forked child (see [`Sys::fork_run`]).
 pub type ForkFn = Box<dyn FnOnce(&mut Sys) -> i32 + Send>;
 
+/// What a process asks of the host.
 enum ProcAction {
     Syscall(Syscall),
     Fork(ForkFn),
@@ -96,10 +101,8 @@ enum ProcAction {
     Done(i32),
 }
 
-enum ProcInput {
-    Reply(SysReply),
-    Killed,
-}
+/// The input that unwinds a killed process.
+const KILLED: SysReply = SysReply::Err(Errno::EKILLED);
 
 /// Panic payload used to unwind a user-program thread.
 pub(crate) enum ProcExit {
@@ -107,22 +110,54 @@ pub(crate) enum ProcExit {
     Killed,
 }
 
+/// The host side of a [`Sys`] handle, with the engine type erased.
+trait Baton: Send + Sync {
+    /// Handles `action` of process `pid` on worker thread `worker` (which
+    /// parks on `wake` if another process runs next) and returns the
+    /// process's reply once it is resumed.
+    fn act(&self, worker: usize, wake: &Condvar, pid: Pid, action: ProcAction) -> SysReply;
+}
+
+/// Unwinds a killed process; otherwise splits its reply into the success
+/// payload or the errno.
+fn outcome(reply: SysReply) -> Result<SysReply, Errno> {
+    match reply {
+        SysReply::Err(Errno::EKILLED) => std::panic::panic_any(ProcExit::Killed),
+        SysReply::Err(e) => Err(e),
+        r => Ok(r),
+    }
+}
+
+/// Issues a syscall and returns the payload of its success reply; any
+/// other reply breaks the OS contract.
+macro_rules! expect_reply {
+    ($sys:ident, $call:expr, $reply:pat => $value:expr) => {{
+        let call = $call;
+        let name = call.name();
+        match $sys.call(call)? {
+            $reply => Ok($value),
+            other => panic!("{}: unexpected reply {:?}", name, other),
+        }
+    }};
+}
+
 /// The syscall interface handed to user programs.
 ///
-/// Every method issues a request to the simulated OS and blocks (the real
-/// thread parks) until the reply arrives. `Err(Errno::ECRASH)` means the
+/// Every method issues a request to the simulated OS and returns once the
+/// reply arrives. The request is handled on the calling thread; if the
+/// host schedules another process before this one's reply, the real thread
+/// parks until the baton comes back. `Err(Errno::ECRASH)` means the
 /// servicing OS component crashed and was recovered; well-written programs
 /// treat it like any other error (paper §III-C).
 pub struct Sys {
     pid: Pid,
     args: Vec<String>,
     registry: Arc<ProgramRegistry>,
-    to_host: Sender<(Pid, ProcAction)>,
-    from_host: Receiver<ProcInput>,
+    host: Arc<dyn Baton>,
+    worker: usize,
+    wake: Arc<Condvar>,
     retry_ecrash: bool,
-    retry_budget: u32,
-    retry_backoff_base: u64,
-    retry_backoff_max: u64,
+    cfg: HostConfig,
 }
 
 impl std::fmt::Debug for Sys {
@@ -162,58 +197,45 @@ impl Sys {
             return 0;
         }
         let doublings = (attempt - 2).min(16);
-        self.retry_backoff_base
+        self.cfg
+            .ecrash_backoff_base
             .saturating_mul(1u64 << doublings)
-            .min(self.retry_backoff_max)
+            .min(self.cfg.ecrash_backoff_max)
     }
 
-    fn call(&mut self, sc: Syscall) -> Result<SysReply, Errno> {
+    fn act(&mut self, action: ProcAction) -> SysReply {
+        self.host.act(self.worker, &self.wake, self.pid, action)
+    }
+
+    fn call(&mut self, mut sc: Syscall) -> Result<SysReply, Errno> {
         let mut attempts: u32 = 0;
         loop {
-            if self
-                .to_host
-                .send((self.pid, ProcAction::Syscall(sc.clone())))
-                .is_err()
-            {
-                std::panic::panic_any(ProcExit::Killed);
-            }
-            match self.from_host.recv() {
-                Ok(ProcInput::Reply(SysReply::Err(Errno::EKILLED))) | Ok(ProcInput::Killed) => {
-                    std::panic::panic_any(ProcExit::Killed)
-                }
-                Ok(ProcInput::Reply(SysReply::Err(Errno::ECRASH))) if self.retry_ecrash => {
+            // Only a call that may be retried needs a copy of itself.
+            let retry = self.retry_ecrash.then(|| sc.clone());
+            match outcome(self.act(ProcAction::Syscall(sc))) {
+                Err(Errno::ECRASH) if retry.is_some() => {
                     // Bounded retry: a crash-looping (or quarantined) server
                     // keeps answering ECRASH; surface it once the per-call
                     // budget is spent instead of livelocking.
                     attempts += 1;
-                    if attempts >= self.retry_budget {
+                    if attempts >= self.cfg.ecrash_retry_budget {
                         return Err(Errno::ECRASH);
                     }
                     let backoff = self.retry_backoff(attempts);
                     if backoff > 0 {
                         self.compute(backoff);
                     }
-                    continue;
+                    sc = retry.expect("kept for the retry");
                 }
-                Ok(ProcInput::Reply(SysReply::Err(e))) => return Err(e),
-                Ok(ProcInput::Reply(r)) => return Ok(r),
-                Err(_) => std::panic::panic_any(ProcExit::Killed),
+                result => return result,
             }
         }
     }
 
     /// Performs `units` of pure computation (advances virtual time only).
     pub fn compute(&mut self, units: u64) {
-        if self
-            .to_host
-            .send((self.pid, ProcAction::Compute(units)))
-            .is_err()
-        {
+        if self.act(ProcAction::Compute(units)) == KILLED {
             std::panic::panic_any(ProcExit::Killed);
-        }
-        match self.from_host.recv() {
-            Ok(ProcInput::Reply(_)) => {}
-            _ => std::panic::panic_any(ProcExit::Killed),
         }
     }
 
@@ -234,14 +256,9 @@ impl Sys {
         if self.registry.get(prog).is_none() {
             return Err(Errno::ENOENT);
         }
-        let call = Syscall::Spawn {
-            prog: prog.to_string(),
-            args: args.iter().map(|s| s.to_string()).collect(),
-        };
-        match self.call(call)? {
-            SysReply::Proc(pid) => Ok(pid),
-            other => panic!("spawn: unexpected reply {:?}", other),
-        }
+        let prog = prog.to_string();
+        let args = args.iter().map(|s| s.to_string()).collect();
+        expect_reply!(self, Syscall::Spawn { prog, args }, SysReply::Proc(pid) => pid)
     }
 
     /// Forks the calling process; the child runs `child_fn` and exits with
@@ -254,21 +271,9 @@ impl Sys {
     where
         F: FnOnce(&mut Sys) -> i32 + Send + 'static,
     {
-        if self
-            .to_host
-            .send((self.pid, ProcAction::Fork(Box::new(child_fn))))
-            .is_err()
-        {
-            std::panic::panic_any(ProcExit::Killed);
-        }
-        match self.from_host.recv() {
-            Ok(ProcInput::Reply(SysReply::Proc(pid))) => Ok(pid),
-            Ok(ProcInput::Reply(SysReply::Err(Errno::EKILLED))) | Ok(ProcInput::Killed) => {
-                std::panic::panic_any(ProcExit::Killed)
-            }
-            Ok(ProcInput::Reply(SysReply::Err(e))) => Err(e),
-            Ok(ProcInput::Reply(other)) => panic!("fork: unexpected reply {:?}", other),
-            Err(_) => std::panic::panic_any(ProcExit::Killed),
+        match outcome(self.act(ProcAction::Fork(Box::new(child_fn))))? {
+            SysReply::Proc(pid) => Ok(pid),
+            other => panic!("fork: unexpected reply {:?}", other),
         }
     }
 
@@ -300,10 +305,7 @@ impl Sys {
     ///
     /// `ECHILD` if `pid` is not a child of the caller.
     pub fn waitpid(&mut self, pid: Pid) -> Result<i32, Errno> {
-        match self.call(Syscall::WaitPid { pid })? {
-            SysReply::Exited(_, code) => Ok(code),
-            other => panic!("waitpid: unexpected reply {:?}", other),
-        }
+        expect_reply!(self, Syscall::WaitPid { pid }, SysReply::Exited(_, code) => code)
     }
 
     /// Waits for any child to exit; returns `(pid, exit_code)`.
@@ -312,10 +314,7 @@ impl Sys {
     ///
     /// `ECHILD` if the caller has no children.
     pub fn wait_any(&mut self) -> Result<(Pid, i32), Errno> {
-        match self.call(Syscall::WaitAny)? {
-            SysReply::Exited(pid, code) => Ok((pid, code)),
-            other => panic!("wait_any: unexpected reply {:?}", other),
-        }
+        expect_reply!(self, Syscall::WaitAny, SysReply::Exited(pid, code) => (pid, code))
     }
 
     /// Sends `sig` to process `pid`.
@@ -333,10 +332,7 @@ impl Sys {
     ///
     /// `ECRASH` if PM crashed while answering.
     pub fn getpid(&mut self) -> Result<Pid, Errno> {
-        match self.call(Syscall::GetPid)? {
-            SysReply::Proc(pid) => Ok(pid),
-            other => panic!("getpid: unexpected reply {:?}", other),
-        }
+        expect_reply!(self, Syscall::GetPid, SysReply::Proc(pid) => pid)
     }
 
     /// Returns the caller's parent pid.
@@ -345,10 +341,7 @@ impl Sys {
     ///
     /// `ESRCH` if the caller is unknown to PM (should not happen).
     pub fn getppid(&mut self) -> Result<Pid, Errno> {
-        match self.call(Syscall::GetPPid)? {
-            SysReply::Proc(pid) => Ok(pid),
-            other => panic!("getppid: unexpected reply {:?}", other),
-        }
+        expect_reply!(self, Syscall::GetPPid, SysReply::Proc(pid) => pid)
     }
 
     /// Masks or unmasks `sig` for the caller.
@@ -366,10 +359,7 @@ impl Sys {
     ///
     /// Process-manager errors.
     pub fn sigpending(&mut self) -> Result<Vec<Signal>, Errno> {
-        match self.call(Syscall::SigPending)? {
-            SysReply::Signals(s) => Ok(s),
-            other => panic!("sigpending: unexpected reply {:?}", other),
-        }
+        expect_reply!(self, Syscall::SigPending, SysReply::Signals(s) => s)
     }
 
     /// Sleeps for `ticks` of virtual time.
@@ -389,10 +379,7 @@ impl Sys {
     ///
     /// `ENOMEM` if the frame pool is exhausted or the shrink underflows.
     pub fn brk(&mut self, pages: i64) -> Result<u64, Errno> {
-        match self.call(Syscall::Brk { pages })? {
-            SysReply::Val(v) => Ok(v as u64),
-            other => panic!("brk: unexpected reply {:?}", other),
-        }
+        expect_reply!(self, Syscall::Brk { pages }, SysReply::Val(v) => v as u64)
     }
 
     /// Maps `pages` fresh pages; returns the mapping id.
@@ -401,10 +388,7 @@ impl Sys {
     ///
     /// `ENOMEM` if the frame pool is exhausted.
     pub fn mmap(&mut self, pages: u64) -> Result<u64, Errno> {
-        match self.call(Syscall::Mmap { pages })? {
-            SysReply::Val(v) => Ok(v as u64),
-            other => panic!("mmap: unexpected reply {:?}", other),
-        }
+        expect_reply!(self, Syscall::Mmap { pages }, SysReply::Val(v) => v as u64)
     }
 
     /// Unmaps a mapping created by [`Sys::mmap`].
@@ -422,10 +406,7 @@ impl Sys {
     ///
     /// Memory-manager errors.
     pub fn vmstat(&mut self) -> Result<u64, Errno> {
-        match self.call(Syscall::VmStat)? {
-            SysReply::Val(v) => Ok(v as u64),
-            other => panic!("vmstat: unexpected reply {:?}", other),
-        }
+        expect_reply!(self, Syscall::VmStat, SysReply::Val(v) => v as u64)
     }
 
     // --- files ---
@@ -436,13 +417,8 @@ impl Sys {
     ///
     /// `ENOENT`, `EISDIR`, `EMFILE`, `ECRASH`, …
     pub fn open(&mut self, path: &str, flags: OpenFlags) -> Result<Fd, Errno> {
-        match self.call(Syscall::Open {
-            path: path.to_string(),
-            flags,
-        })? {
-            SysReply::Desc(fd) => Ok(fd),
-            other => panic!("open: unexpected reply {:?}", other),
-        }
+        let path = path.to_string();
+        expect_reply!(self, Syscall::Open { path, flags }, SysReply::Desc(fd) => fd)
     }
 
     /// Closes `fd`.
@@ -461,10 +437,7 @@ impl Sys {
     ///
     /// `EBADF`, `ECRASH`, …
     pub fn read(&mut self, fd: Fd, len: u32) -> Result<Vec<u8>, Errno> {
-        match self.call(Syscall::Read { fd, len })? {
-            SysReply::Data(d) => Ok(d),
-            other => panic!("read: unexpected reply {:?}", other),
-        }
+        expect_reply!(self, Syscall::Read { fd, len }, SysReply::Data(d) => d)
     }
 
     /// Writes `bytes`; returns the number written.
@@ -473,13 +446,8 @@ impl Sys {
     ///
     /// `EBADF`, `EPIPE` (no readers left), `ENOSPC`, …
     pub fn write(&mut self, fd: Fd, bytes: &[u8]) -> Result<u32, Errno> {
-        match self.call(Syscall::Write {
-            fd,
-            bytes: bytes.to_vec(),
-        })? {
-            SysReply::Val(n) => Ok(n as u32),
-            other => panic!("write: unexpected reply {:?}", other),
-        }
+        let bytes = bytes.to_vec();
+        expect_reply!(self, Syscall::Write { fd, bytes }, SysReply::Val(n) => n as u32)
     }
 
     /// Repositions the file offset; returns the new absolute offset.
@@ -488,10 +456,7 @@ impl Sys {
     ///
     /// `EBADF`, `EINVAL` (seek before start), `EPIPE` on pipes.
     pub fn seek(&mut self, fd: Fd, from: SeekFrom) -> Result<u64, Errno> {
-        match self.call(Syscall::Seek { fd, from })? {
-            SysReply::Val(v) => Ok(v as u64),
-            other => panic!("seek: unexpected reply {:?}", other),
-        }
+        expect_reply!(self, Syscall::Seek { fd, from }, SysReply::Val(v) => v as u64)
     }
 
     /// Removes the file at `path`.
@@ -500,10 +465,8 @@ impl Sys {
     ///
     /// `ENOENT`, `EISDIR`, `EBUSY` (still open).
     pub fn unlink(&mut self, path: &str) -> Result<(), Errno> {
-        self.call(Syscall::Unlink {
-            path: path.to_string(),
-        })
-        .map(|_| ())
+        let path = path.to_string();
+        self.call(Syscall::Unlink { path }).map(|_| ())
     }
 
     /// Creates a directory.
@@ -512,10 +475,8 @@ impl Sys {
     ///
     /// `EEXIST`, `ENOENT` (missing parent), `ENOTDIR`.
     pub fn mkdir(&mut self, path: &str) -> Result<(), Errno> {
-        self.call(Syscall::Mkdir {
-            path: path.to_string(),
-        })
-        .map(|_| ())
+        let path = path.to_string();
+        self.call(Syscall::Mkdir { path }).map(|_| ())
     }
 
     /// Lists a directory's entries.
@@ -524,12 +485,8 @@ impl Sys {
     ///
     /// `ENOENT`, `ENOTDIR`.
     pub fn readdir(&mut self, path: &str) -> Result<Vec<String>, Errno> {
-        match self.call(Syscall::ReadDir {
-            path: path.to_string(),
-        })? {
-            SysReply::Names(n) => Ok(n),
-            other => panic!("readdir: unexpected reply {:?}", other),
-        }
+        let path = path.to_string();
+        expect_reply!(self, Syscall::ReadDir { path }, SysReply::Names(n) => n)
     }
 
     /// Stats a path.
@@ -538,12 +495,8 @@ impl Sys {
     ///
     /// `ENOENT`.
     pub fn stat(&mut self, path: &str) -> Result<FileStat, Errno> {
-        match self.call(Syscall::Stat {
-            path: path.to_string(),
-        })? {
-            SysReply::StatInfo(s) => Ok(s),
-            other => panic!("stat: unexpected reply {:?}", other),
-        }
+        let path = path.to_string();
+        expect_reply!(self, Syscall::Stat { path }, SysReply::StatInfo(s) => s)
     }
 
     /// Renames a file.
@@ -552,11 +505,8 @@ impl Sys {
     ///
     /// `ENOENT`, `EISDIR`, `EBUSY`.
     pub fn rename(&mut self, from: &str, to: &str) -> Result<(), Errno> {
-        self.call(Syscall::Rename {
-            from: from.to_string(),
-            to: to.to_string(),
-        })
-        .map(|_| ())
+        let (from, to) = (from.to_string(), to.to_string());
+        self.call(Syscall::Rename { from, to }).map(|_| ())
     }
 
     /// Creates a pipe; returns `(read_end, write_end)`.
@@ -565,10 +515,7 @@ impl Sys {
     ///
     /// `EMFILE`, `ECRASH`.
     pub fn pipe(&mut self) -> Result<(Fd, Fd), Errno> {
-        match self.call(Syscall::Pipe)? {
-            SysReply::TwoDesc(r, w) => Ok((r, w)),
-            other => panic!("pipe: unexpected reply {:?}", other),
-        }
+        expect_reply!(self, Syscall::Pipe, SysReply::TwoDesc(r, w) => (r, w))
     }
 
     /// Duplicates a descriptor.
@@ -577,10 +524,7 @@ impl Sys {
     ///
     /// `EBADF`, `EMFILE`.
     pub fn dup(&mut self, fd: Fd) -> Result<Fd, Errno> {
-        match self.call(Syscall::Dup { fd })? {
-            SysReply::Desc(d) => Ok(d),
-            other => panic!("dup: unexpected reply {:?}", other),
-        }
+        expect_reply!(self, Syscall::Dup { fd }, SysReply::Desc(d) => d)
     }
 
     /// Flushes a file's dirty cached blocks to the disk driver.
@@ -600,11 +544,8 @@ impl Sys {
     ///
     /// `ENOSPC`, `ECRASH`.
     pub fn ds_put(&mut self, key: &str, value: &[u8]) -> Result<(), Errno> {
-        self.call(Syscall::DsPut {
-            key: key.to_string(),
-            value: value.to_vec(),
-        })
-        .map(|_| ())
+        let (key, value) = (key.to_string(), value.to_vec());
+        self.call(Syscall::DsPut { key, value }).map(|_| ())
     }
 
     /// Retrieves the value stored under `key`.
@@ -613,12 +554,8 @@ impl Sys {
     ///
     /// `ENOKEY` if absent.
     pub fn ds_get(&mut self, key: &str) -> Result<Vec<u8>, Errno> {
-        match self.call(Syscall::DsGet {
-            key: key.to_string(),
-        })? {
-            SysReply::Data(d) => Ok(d),
-            other => panic!("ds_get: unexpected reply {:?}", other),
-        }
+        let key = key.to_string();
+        expect_reply!(self, Syscall::DsGet { key }, SysReply::Data(d) => d)
     }
 
     /// Deletes `key` from the data store.
@@ -627,10 +564,8 @@ impl Sys {
     ///
     /// `ENOKEY` if absent.
     pub fn ds_del(&mut self, key: &str) -> Result<(), Errno> {
-        self.call(Syscall::DsDel {
-            key: key.to_string(),
-        })
-        .map(|_| ())
+        let key = key.to_string();
+        self.call(Syscall::DsDel { key }).map(|_| ())
     }
 
     /// Lists data-store keys with the given prefix.
@@ -639,12 +574,8 @@ impl Sys {
     ///
     /// `ECRASH`.
     pub fn ds_list(&mut self, prefix: &str) -> Result<Vec<String>, Errno> {
-        match self.call(Syscall::DsList {
-            prefix: prefix.to_string(),
-        })? {
-            SysReply::Names(n) => Ok(n),
-            other => panic!("ds_list: unexpected reply {:?}", other),
-        }
+        let prefix = prefix.to_string();
+        expect_reply!(self, Syscall::DsList { prefix }, SysReply::Names(n) => n)
     }
 }
 
@@ -709,42 +640,119 @@ impl Default for HostConfig {
     }
 }
 
+/// A program waiting to start: a registered one with its arguments, or a
+/// forked child's closure.
+enum Program {
+    Named(Arc<ProgramFn>, Vec<String>),
+    Fork(ForkFn),
+}
+
 enum Resume {
     Reply(Pid, SysReply),
-    Start(Pid, Arc<ProgramFn>, Vec<String>),
-    StartFork(Pid, ForkFn),
+    Start(Pid, Program),
+}
+
+/// One OS thread that runs processes, one after another.
+struct Worker {
+    inbox: Option<Resume>,
+    wake: Arc<Condvar>,
 }
 
 struct ProcEntry {
-    input_tx: Sender<ProcInput>,
-    handle: Option<JoinHandle<()>>,
+    worker: usize,
     blocked_on: Option<SyscallId>,
 }
 
 enum PendingKind {
     Plain,
-    Spawn { prog: String, args: Vec<String> },
-    Fork { f: Option<ForkFn> },
+    /// Spawn or fork: the child's program, started once PM confirms.
+    Child(Program),
 }
 
-struct PendingCall {
-    pid: Pid,
-    kind: PendingKind,
+/// Everything the baton holder may touch.
+struct State<E> {
+    engine: E,
+    procs: BTreeMap<Pid, ProcEntry>,
+    pending: BTreeMap<SyscallId, PendingKind>,
+    resume_q: VecDeque<Resume>,
+    dead: BTreeSet<Pid>,
+    exit_codes: BTreeMap<u32, i32>,
+    next_sid: u64,
+    workers: Vec<Worker>,
+    threads: Vec<JoinHandle<()>>,
+    /// Workers whose program ended, free for the next start.
+    idle: Vec<usize>,
+    /// Set once; every thread then unwinds its program and stops.
+    outcome: Option<RunOutcome>,
+    /// An engine panic, re-raised from [`Host::run`].
+    panic: Option<Box<dyn Any + Send>>,
+}
+
+impl<E> State<E> {
+    /// Registers a blocking call of `pid`; returns its id.
+    fn block(&mut self, pid: Pid, kind: PendingKind) -> SyscallId {
+        self.next_sid += 1;
+        let sid = SyscallId(self.next_sid);
+        self.pending.insert(sid, kind);
+        if let Some(p) = self.procs.get_mut(&pid) {
+            p.blocked_on = Some(sid);
+        }
+        sid
+    }
+
+    /// Ends the run and releases every parked thread.
+    fn end(&mut self, outcome: RunOutcome) {
+        self.outcome = Some(outcome);
+        for w in &self.workers {
+            w.wake.notify_one();
+        }
+    }
+
+    /// Leaves `msg` for worker `w`, waking it unless it is the caller.
+    fn deliver(&mut self, w: usize, msg: Resume, me: Option<usize>) {
+        let worker = &mut self.workers[w];
+        worker.inbox = Some(msg);
+        if me != Some(w) {
+            worker.wake.notify_one();
+        }
+    }
+}
+
+/// `carried` followed by `more`, without copying when nothing was carried.
+fn join_carried<T>(carried: &mut Vec<T>, mut more: Vec<T>) -> Vec<T> {
+    if !carried.is_empty() {
+        more.splice(0..0, carried.drain(..));
+    }
+    more
+}
+
+/// Every baton section runs inside [`Run::guarded`], so no thread panics
+/// while holding the state.
+const UNPOISONED: &str = "a baton holder panicked outside its guard";
+
+/// One workload run: the shared state and the threads' rendezvous.
+struct Run<E> {
+    state: Mutex<State<E>>,
+    this: Weak<Run<E>>,
+    registry: Arc<ProgramRegistry>,
+    cfg: HostConfig,
+    trace: bool,
 }
 
 /// Runs workload programs against an [`OsEngine`] in deterministic
 /// lock-step.
 pub struct Host<E: OsEngine> {
-    engine: E,
+    /// Home of the engine between runs; a run moves it to the threads.
+    engine: Option<E>,
     registry: Arc<ProgramRegistry>,
     cfg: HostConfig,
 }
 
-impl<E: OsEngine> Host<E> {
+impl<E: OsEngine + Send + 'static> Host<E> {
     /// Creates a host over `engine` with the given program registry.
     pub fn new(engine: E, registry: ProgramRegistry) -> Self {
         Host {
-            engine,
+            engine: Some(engine),
             registry: Arc::new(registry),
             cfg: HostConfig::default(),
         }
@@ -758,17 +766,17 @@ impl<E: OsEngine> Host<E> {
 
     /// The wrapped engine (metrics inspection after a run).
     pub fn engine(&self) -> &E {
-        &self.engine
+        self.engine.as_ref().expect("engine is home between runs")
     }
 
     /// Mutable engine access.
     pub fn engine_mut(&mut self) -> &mut E {
-        &mut self.engine
+        self.engine.as_mut().expect("engine is home between runs")
     }
 
     /// Consumes the host, returning the engine.
     pub fn into_engine(self) -> E {
-        self.engine
+        self.engine.expect("engine is home between runs")
     }
 
     /// Boots the workload: starts `root_prog` as the init process (pid 1,
@@ -779,7 +787,8 @@ impl<E: OsEngine> Host<E> {
     ///
     /// # Panics
     ///
-    /// Panics if `root_prog` is not registered.
+    /// Panics if `root_prog` is not registered, and re-raises any panic of
+    /// the engine, with its original payload, after the run is torn down.
     pub fn run(&mut self, root_prog: &str, root_args: &[&str]) -> RunOutcome {
         let trace =
             self.cfg.verbose || std::env::var_os("OSIRIS_HOST_TRACE").is_some_and(|v| v == "1");
@@ -787,226 +796,243 @@ impl<E: OsEngine> Host<E> {
             .registry
             .get(root_prog)
             .unwrap_or_else(|| panic!("program `{}` not registered", root_prog));
+        let root_args: Vec<String> = root_args.iter().map(|s| s.to_string()).collect();
+        // The caller is worker 0: it runs init, and then whatever process
+        // it is given, until the run ends.
+        let wake = Arc::new(Condvar::new());
+        let state = State {
+            engine: self.engine.take().expect("engine is home between runs"),
+            procs: BTreeMap::new(),
+            pending: BTreeMap::new(),
+            resume_q: VecDeque::from([Resume::Start(Pid::INIT, Program::Named(root, root_args))]),
+            dead: BTreeSet::new(),
+            exit_codes: BTreeMap::new(),
+            next_sid: 0,
+            workers: vec![Worker {
+                inbox: None,
+                wake: Arc::clone(&wake),
+            }],
+            threads: Vec::new(),
+            idle: vec![0],
+            outcome: None,
+            panic: None,
+        };
+        let run = Arc::new_cyclic(|this| Run {
+            state: Mutex::new(state),
+            this: this.clone(),
+            registry: Arc::clone(&self.registry),
+            cfg: self.cfg,
+            trace,
+        });
+        run.guarded(&mut run.lock(), |st| {
+            run.dispatch(st, Some(0));
+            None
+        });
+        Arc::clone(&run).serve(0, wake);
 
-        let (action_tx, action_rx) = channel::<(Pid, ProcAction)>();
-        let mut procs: HashMap<Pid, ProcEntry> = HashMap::new();
-        let mut dead: HashSet<Pid> = HashSet::new();
-        let mut exit_codes: BTreeMap<u32, i32> = BTreeMap::new();
-        let mut pending: HashMap<SyscallId, PendingCall> = HashMap::new();
-        let mut resume_q: VecDeque<Resume> = VecDeque::new();
-        let mut running: Option<Pid> = None;
-        let mut next_sid: u64 = 0;
+        // Tear down: the ended run released every thread; join them.
+        let threads = std::mem::take(&mut run.lock().threads);
+        for t in threads {
+            t.join()
+                .expect("process threads catch their programs' panics");
+        }
+        let run = Arc::into_inner(run).expect("every process thread joined");
+        let st = run.state.into_inner().expect(UNPOISONED);
+        self.engine = Some(st.engine);
+        if let Some(payload) = st.panic {
+            resume_unwind(payload);
+        }
+        st.outcome.expect("the run ended with an outcome")
+    }
+}
+
+impl<E: OsEngine + Send + 'static> Run<E> {
+    fn lock(&self) -> MutexGuard<'_, State<E>> {
+        self.state.lock().expect(UNPOISONED)
+    }
+
+    /// Parks worker `me` until input arrives for it; `None` once the run has
+    /// ended.
+    fn wait(&self, st: MutexGuard<'_, State<E>>, me: usize, wake: &Condvar) -> Option<Resume> {
+        let mut st = wake
+            .wait_while(st, |s| s.outcome.is_none() && s.workers[me].inbox.is_none())
+            .expect(UNPOISONED);
+        if st.outcome.is_some() {
+            return None;
+        }
+        st.workers[me].inbox.take()
+    }
+
+    /// Runs `f` as the baton holder. A panic in it (an engine or kernel
+    /// bug) ends the run and is kept for [`Host::run`] to re-raise, rather
+    /// than unwinding the program that happened to hold the baton.
+    fn guarded(
+        &self,
+        st: &mut State<E>,
+        f: impl FnOnce(&mut State<E>) -> Option<SysReply>,
+    ) -> Option<SysReply> {
+        catch_unwind(AssertUnwindSafe(|| f(st))).unwrap_or_else(|payload| {
+            st.panic = Some(payload);
+            st.end(RunOutcome::Hang("engine panicked".into()));
+            Some(KILLED)
+        })
+    }
+
+    /// Phase 1: takes process `pid`'s action, then schedules the next
+    /// process unless `pid` keeps running. Returns `pid`'s reply when it is
+    /// known without waiting.
+    fn handle(
+        &self,
+        st: &mut State<E>,
+        me: usize,
+        pid: Pid,
+        action: ProcAction,
+    ) -> Option<SysReply> {
+        if self.trace {
+            let what = match &action {
+                ProcAction::Compute(u) => format!("compute({})", u),
+                ProcAction::Syscall(sc) => format!("syscall {}", sc.name()),
+                ProcAction::Fork(_) => "fork".to_string(),
+                ProcAction::Done(c) => format!("done({})", c),
+            };
+            eprintln!("[host] {} -> {}", pid, what);
+        }
+        let dead = st.dead.contains(&pid);
+        let mut mine = dead.then_some(KILLED);
+        match action {
+            ProcAction::Compute(units) => {
+                st.engine.charge_user(units);
+                if !dead {
+                    // Still running: no scheduling decision to make.
+                    return Some(SysReply::Ok);
+                }
+            }
+            ProcAction::Syscall(_) | ProcAction::Fork(_) if dead => {}
+            ProcAction::Syscall(sc) => {
+                // Spawn carries host-side info to start the child when PM
+                // confirms.
+                let kind = match &sc {
+                    Syscall::Spawn { prog, args } => {
+                        let f = self.registry.get(prog);
+                        let f = f.expect("spawn validated against the registry");
+                        PendingKind::Child(Program::Named(f, args.clone()))
+                    }
+                    _ => PendingKind::Plain,
+                };
+                let sid = st.block(pid, kind);
+                st.engine.submit(sid, pid, sc);
+            }
+            ProcAction::Fork(f) => {
+                let sid = st.block(pid, PendingKind::Child(Program::Fork(f)));
+                st.engine.submit(sid, pid, Syscall::Fork);
+            }
+            ProcAction::Done(code) => {
+                st.exit_codes.insert(pid.0, code);
+                if !dead {
+                    st.dead.insert(pid);
+                    st.next_sid += 1;
+                    st.engine
+                        .submit(SyscallId(st.next_sid), pid, Syscall::Exit { code });
+                }
+                if let Some(p) = st.procs.get_mut(&pid) {
+                    p.blocked_on = None;
+                }
+                // This thread is free to run the next process started.
+                st.idle.push(me);
+                mine = None;
+            }
+        }
+        self.dispatch(st, Some(me));
+        mine
+    }
+
+    /// Phases 2–4: lets the OS work until exactly one process can be
+    /// resumed (or started) and passes it the baton, or ends the run. `me`
+    /// is the calling worker, if any.
+    fn dispatch(&self, st: &mut State<E>, me: Option<usize>) {
         // Replies/kills discovered while firing idle timers, carried back to
         // the single reply-handling path at the top of the loop.
-        let mut carried_replies: Vec<(SyscallId, Pid, SysReply)> = Vec::new();
-        let mut carried_kills: Vec<Pid> = Vec::new();
-
-        let root_args: Vec<String> = root_args.iter().map(|s| s.to_string()).collect();
-        resume_q.push_back(Resume::Start(Pid::INIT, root, root_args));
-
-        let outcome = loop {
-            // Phase 1: if a process is running, wait for its next action.
-            if let Some(pid) = running {
-                let Ok((apid, action)) = action_rx.recv() else {
-                    break RunOutcome::Hang("all process threads vanished".into());
-                };
-                debug_assert_eq!(apid, pid, "lock-step violation");
-                if trace {
-                    let what = match &action {
-                        ProcAction::Compute(u) => format!("compute({})", u),
-                        ProcAction::Syscall(sc) => format!("syscall {}", sc.name()),
-                        ProcAction::Fork(_) => "fork".to_string(),
-                        ProcAction::Done(c) => format!("done({})", c),
-                    };
-                    eprintln!("[host] {} -> {}", pid, what);
-                }
-                match action {
-                    ProcAction::Compute(units) => {
-                        self.engine.charge_user(units);
-                        if dead.contains(&pid) {
-                            let _ = procs[&pid].input_tx.send(ProcInput::Killed);
-                            running = None;
-                        } else {
-                            let _ = procs[&pid].input_tx.send(ProcInput::Reply(SysReply::Ok));
-                            // Still running: loop back and await its next action.
-                        }
-                    }
-                    ProcAction::Syscall(sc) => {
-                        running = None;
-                        if dead.contains(&pid) {
-                            let _ = procs[&pid].input_tx.send(ProcInput::Killed);
-                        } else if matches!(sc, Syscall::Exit { .. }) {
-                            // One-way: no reply will come.
-                            next_sid += 1;
-                            self.engine.submit(SyscallId(next_sid), pid, sc);
-                        } else {
-                            next_sid += 1;
-                            let sid = SyscallId(next_sid);
-                            pending.insert(
-                                sid,
-                                PendingCall {
-                                    pid,
-                                    kind: PendingKind::Plain,
-                                },
-                            );
-                            if let Some(p) = procs.get_mut(&pid) {
-                                p.blocked_on = Some(sid);
-                            }
-                            // Spawn carries host-side info to start the child
-                            // when PM confirms.
-                            if let Syscall::Spawn { ref prog, ref args } = sc {
-                                pending.insert(
-                                    sid,
-                                    PendingCall {
-                                        pid,
-                                        kind: PendingKind::Spawn {
-                                            prog: prog.clone(),
-                                            args: args.clone(),
-                                        },
-                                    },
-                                );
-                            }
-                            self.engine.submit(sid, pid, sc);
-                        }
-                    }
-                    ProcAction::Fork(f) => {
-                        running = None;
-                        if dead.contains(&pid) {
-                            let _ = procs[&pid].input_tx.send(ProcInput::Killed);
-                        } else {
-                            next_sid += 1;
-                            let sid = SyscallId(next_sid);
-                            pending.insert(
-                                sid,
-                                PendingCall {
-                                    pid,
-                                    kind: PendingKind::Fork { f: Some(f) },
-                                },
-                            );
-                            if let Some(p) = procs.get_mut(&pid) {
-                                p.blocked_on = Some(sid);
-                            }
-                            self.engine.submit(sid, pid, Syscall::Fork);
-                        }
-                    }
-                    ProcAction::Done(code) => {
-                        running = None;
-                        exit_codes.insert(pid.0, code);
-                        if !dead.contains(&pid) {
-                            dead.insert(pid);
-                            next_sid += 1;
-                            self.engine
-                                .submit(SyscallId(next_sid), pid, Syscall::Exit { code });
-                        }
-                        if let Some(p) = procs.get_mut(&pid) {
-                            p.blocked_on = None;
-                        }
-                    }
-                }
-                continue;
-            }
-
+        let (mut carried_replies, mut carried_kills) = (Vec::new(), Vec::new());
+        loop {
             // Phase 2: nobody is running — let the OS work and collect
             // replies / kill events (including any carried over from the
             // idle timer loop below).
-            let mut replies = std::mem::take(&mut carried_replies);
-            replies.extend(self.engine.pump());
-            let mut kills = std::mem::take(&mut carried_kills);
-            kills.extend(self.engine.take_kill_events());
+            let pumped = st.engine.pump();
+            let replies = join_carried(&mut carried_replies, pumped);
+            let killed = st.engine.take_kill_events();
+            let kills = join_carried(&mut carried_kills, killed);
             for victim in kills {
-                if dead.insert(victim) {
-                    if let Some(p) = procs.get(&victim) {
-                        if p.blocked_on.is_some() {
-                            let _ = p.input_tx.send(ProcInput::Killed);
-                        }
+                if st.dead.insert(victim) {
+                    let blocked = st.procs.get(&victim).filter(|p| p.blocked_on.is_some());
+                    if let Some(w) = blocked.map(|p| p.worker) {
+                        st.deliver(w, Resume::Reply(victim, KILLED), None);
                     }
-                    exit_codes.entry(victim.0).or_insert(-9);
+                    st.exit_codes.entry(victim.0).or_insert(-9);
                 }
             }
             for (sid, pid, reply) in replies {
-                if trace {
+                if self.trace {
                     eprintln!("[host] reply to {} ({:?}): {:?}", pid, sid, reply);
                 }
-                let Some(call) = pending.remove(&sid) else {
+                let Some(kind) = st.pending.remove(&sid) else {
                     continue;
                 };
-                debug_assert_eq!(call.pid, pid);
-                if let Some(p) = procs.get_mut(&pid) {
-                    if p.blocked_on == Some(sid) {
-                        p.blocked_on = None;
-                    }
+                if let Some(p) = st.procs.get_mut(&pid).filter(|p| p.blocked_on == Some(sid)) {
+                    p.blocked_on = None;
                 }
-                match call.kind {
-                    PendingKind::Plain => {
-                        if !dead.contains(&pid) {
-                            resume_q.push_back(Resume::Reply(pid, reply));
-                        }
-                    }
-                    PendingKind::Spawn { prog, args } => {
-                        if let SysReply::Proc(child) = reply {
-                            let f = self
-                                .registry
-                                .get(&prog)
-                                .expect("spawn validated against the registry");
-                            if !dead.contains(&pid) {
-                                resume_q.push_back(Resume::Reply(pid, SysReply::Proc(child)));
-                            }
-                            resume_q.push_back(Resume::Start(child, f, args));
-                        } else if !dead.contains(&pid) {
-                            resume_q.push_back(Resume::Reply(pid, reply));
-                        }
-                    }
-                    PendingKind::Fork { mut f } => {
-                        if let SysReply::Proc(child) = reply {
-                            let cf = f.take().expect("fork closure present");
-                            if !dead.contains(&pid) {
-                                resume_q.push_back(Resume::Reply(pid, SysReply::Proc(child)));
-                            }
-                            resume_q.push_back(Resume::StartFork(child, cf));
-                        } else if !dead.contains(&pid) {
-                            resume_q.push_back(Resume::Reply(pid, reply));
-                        }
-                    }
+                let alive = !st.dead.contains(&pid);
+                let child = match (kind, &reply) {
+                    (PendingKind::Child(prog), SysReply::Proc(child)) => Some((*child, prog)),
+                    _ => None,
+                };
+                if alive {
+                    st.resume_q.push_back(Resume::Reply(pid, reply));
+                }
+                if let Some((child, prog)) = child {
+                    st.resume_q.push_back(Resume::Start(child, prog));
                 }
             }
 
-            if let Some(kind) = self.engine.shutdown_state() {
-                break RunOutcome::Shutdown(kind);
+            if let Some(kind) = st.engine.shutdown_state() {
+                return st.end(RunOutcome::Shutdown(kind));
             }
-            if self.engine.now() > self.cfg.max_virtual_time {
-                break RunOutcome::Hang("virtual time limit exceeded".into());
+            if st.engine.now() > self.cfg.max_virtual_time {
+                return st.end(RunOutcome::Hang("virtual time limit exceeded".into()));
             }
 
             // Phase 3: resume exactly one process (or start a child).
-            if let Some(r) = resume_q.pop_front() {
-                if trace {
+            if let Some(r) = st.resume_q.pop_front() {
+                if self.trace {
                     let what = match &r {
                         Resume::Reply(pid, rep) => format!("resume {} with {:?}", pid, rep),
-                        Resume::Start(pid, _, _) => format!("start {}", pid),
-                        Resume::StartFork(pid, _) => format!("start-fork {}", pid),
+                        Resume::Start(pid, Program::Named(..)) => format!("start {}", pid),
+                        Resume::Start(pid, Program::Fork(_)) => format!("start-fork {}", pid),
                     };
                     eprintln!("[host] {}", what);
                 }
                 match r {
+                    Resume::Reply(pid, _) if st.dead.contains(&pid) => {
+                        // Killed while its reply waited: let its thread
+                        // unwind and be reused.
+                        if let Some(w) = st.procs.get(&pid).map(|p| p.worker) {
+                            st.deliver(w, Resume::Reply(pid, KILLED), None);
+                        }
+                    }
                     Resume::Reply(pid, reply) => {
-                        if dead.contains(&pid) {
-                            continue;
-                        }
-                        if let Some(p) = procs.get(&pid) {
-                            if p.input_tx.send(ProcInput::Reply(reply)).is_ok() {
-                                running = Some(pid);
-                            }
-                        }
+                        let w = st.procs[&pid].worker;
+                        return st.deliver(w, Resume::Reply(pid, reply), me);
                     }
-                    Resume::Start(pid, f, args) => {
-                        let entry = self.start_process(pid, f, args, action_tx.clone());
-                        procs.insert(pid, entry);
-                        running = Some(pid);
-                    }
-                    Resume::StartFork(pid, f) => {
-                        let entry = self.start_fork(pid, f, action_tx.clone());
-                        procs.insert(pid, entry);
-                        running = Some(pid);
+                    Resume::Start(pid, prog) => {
+                        let w = match st.idle.pop() {
+                            Some(w) => w,
+                            None => self.spawn_worker(st),
+                        };
+                        let entry = ProcEntry {
+                            worker: w,
+                            blocked_on: None,
+                        };
+                        st.procs.insert(pid, entry);
+                        return st.deliver(w, Resume::Start(pid, prog), me);
                     }
                 }
                 continue;
@@ -1014,23 +1040,24 @@ impl<E: OsEngine> Host<E> {
 
             // Phase 4: idle — everyone is blocked inside the OS. Advance
             // virtual time; bounded so a silent wedge becomes a hang.
-            let live = procs.keys().filter(|p| !dead.contains(p)).count();
+            let live = st.procs.keys().filter(|p| !st.dead.contains(p)).count();
             if live == 0 {
-                let init_code = exit_codes.get(&Pid::INIT.0).copied().unwrap_or(-1);
-                break RunOutcome::Completed {
+                let init_code = st.exit_codes.get(&Pid::INIT.0).copied().unwrap_or(-1);
+                let exit_codes = std::mem::take(&mut st.exit_codes);
+                return st.end(RunOutcome::Completed {
                     init_code,
-                    exit_codes: exit_codes.clone(),
-                };
+                    exit_codes,
+                });
             }
             let mut fired = 0u32;
             let mut progressed = false;
             while fired < self.cfg.max_idle_timer_fires {
-                if !self.engine.fire_next_timer() {
+                if !st.engine.fire_next_timer() {
                     break;
                 }
                 fired += 1;
-                let replies = self.engine.pump();
-                let kills = self.engine.take_kill_events();
+                let replies = st.engine.pump();
+                let kills = st.engine.take_kill_events();
                 if !replies.is_empty() || !kills.is_empty() {
                     // Carry them back to the canonical handling path at the
                     // top of the loop (it knows about spawn/fork pendings).
@@ -1039,126 +1066,92 @@ impl<E: OsEngine> Host<E> {
                     progressed = true;
                     break;
                 }
-                if self.engine.shutdown_state().is_some() {
+                if st.engine.shutdown_state().is_some() {
                     break;
                 }
             }
-            if let Some(kind) = self.engine.shutdown_state() {
-                break RunOutcome::Shutdown(kind);
+            if let Some(kind) = st.engine.shutdown_state() {
+                return st.end(RunOutcome::Shutdown(kind));
             }
             if !progressed {
-                break RunOutcome::Hang(format!(
+                return st.end(RunOutcome::Hang(format!(
                     "{} live process(es) blocked with no resolvable event",
                     live
-                ));
-            }
-        };
-
-        // Tear down: release every parked thread and join.
-        for (_, p) in procs.iter() {
-            // Dropping the sender unblocks the thread's recv with Err.
-            let _ = p.input_tx.send(ProcInput::Killed);
-        }
-        drop(action_tx);
-        // Drain any stray actions so senders don't block (unbounded channel:
-        // sends never block, but be tidy and consume).
-        while action_rx.try_recv().is_ok() {}
-        for (_, mut p) in procs.drain() {
-            if let Some(h) = p.handle.take() {
-                let _ = h.join();
+                )));
             }
         }
-        outcome
     }
 
-    fn start_process(
-        &self,
-        pid: Pid,
-        f: Arc<ProgramFn>,
-        args: Vec<String>,
-        action_tx: Sender<(Pid, ProcAction)>,
-    ) -> ProcEntry {
-        let (input_tx, input_rx) = channel::<ProcInput>();
-        let registry = Arc::clone(&self.registry);
-        let (retry_budget, retry_backoff_base, retry_backoff_max) = (
-            self.cfg.ecrash_retry_budget,
-            self.cfg.ecrash_backoff_base,
-            self.cfg.ecrash_backoff_max,
-        );
-        let handle = std::thread::Builder::new()
-            .name(format!("osiris-{}", pid))
-            .spawn(move || {
-                let mut sys = Sys {
-                    pid,
-                    args,
-                    registry,
-                    to_host: action_tx.clone(),
-                    from_host: input_rx,
-                    retry_ecrash: false,
-                    retry_budget,
-                    retry_backoff_base,
-                    retry_backoff_max,
-                };
-                let result = catch_unwind(AssertUnwindSafe(|| f(&mut sys)));
-                finish_thread(pid, result, &action_tx);
-            })
+    /// Starts a new worker thread; returns its index.
+    fn spawn_worker(&self, st: &mut State<E>) -> usize {
+        let me = st.workers.len();
+        let wake = Arc::new(Condvar::new());
+        let run = self.this.upgrade().expect("the run outlives its workers");
+        let thread_wake = Arc::clone(&wake);
+        let thread = std::thread::Builder::new()
+            .name(format!("osiris-proc-{}", me))
+            .spawn(move || run.serve(me, thread_wake))
             .expect("spawn process thread");
-        ProcEntry {
-            input_tx,
-            handle: Some(handle),
-            blocked_on: None,
-        }
+        st.workers.push(Worker { inbox: None, wake });
+        st.threads.push(thread);
+        me
     }
 
-    fn start_fork(&self, pid: Pid, f: ForkFn, action_tx: Sender<(Pid, ProcAction)>) -> ProcEntry {
-        let (input_tx, input_rx) = channel::<ProcInput>();
-        let registry = Arc::clone(&self.registry);
-        let (retry_budget, retry_backoff_base, retry_backoff_max) = (
-            self.cfg.ecrash_retry_budget,
-            self.cfg.ecrash_backoff_base,
-            self.cfg.ecrash_backoff_max,
-        );
-        let handle = std::thread::Builder::new()
-            .name(format!("osiris-{}", pid))
-            .spawn(move || {
-                let mut sys = Sys {
-                    pid,
-                    args: Vec::new(),
-                    registry,
-                    to_host: action_tx.clone(),
-                    from_host: input_rx,
-                    retry_ecrash: false,
-                    retry_budget,
-                    retry_backoff_base,
-                    retry_backoff_max,
-                };
-                let result = catch_unwind(AssertUnwindSafe(|| f(&mut sys)));
-                finish_thread(pid, result, &action_tx);
-            })
-            .expect("spawn fork thread");
-        ProcEntry {
-            input_tx,
-            handle: Some(handle),
-            blocked_on: None,
+    /// A worker thread's life: run each program it is given to its end,
+    /// report the exit, and wait for the next one until teardown.
+    fn serve(self: Arc<Self>, me: usize, wake: Arc<Condvar>) {
+        let host: Arc<dyn Baton> = self.clone();
+        loop {
+            let Some(Resume::Start(pid, prog)) = self.wait(self.lock(), me, &wake) else {
+                return;
+            };
+            let mut sys = Sys {
+                pid,
+                args: Vec::new(),
+                registry: Arc::clone(&self.registry),
+                host: Arc::clone(&host),
+                worker: me,
+                wake: Arc::clone(&wake),
+                retry_ecrash: false,
+                cfg: self.cfg,
+            };
+            let result = catch_unwind(AssertUnwindSafe(|| match prog {
+                Program::Named(f, args) => {
+                    sys.args = args;
+                    f(&mut sys)
+                }
+                Program::Fork(f) => f(&mut sys),
+            }));
+            let mut st = self.lock();
+            let code = match result.map_err(|p| p.downcast::<ProcExit>().map(|pe| *pe)) {
+                Ok(code) | Err(Ok(ProcExit::Exited(code))) => Some(code),
+                Err(Ok(ProcExit::Killed)) => None, // the host already accounted for us
+                Err(Err(_)) => Some(101),          // a program bug: a distinctive exit code
+            };
+            match code {
+                Some(code) if st.outcome.is_none() => {
+                    self.guarded(&mut st, |st| {
+                        self.handle(st, me, pid, ProcAction::Done(code))
+                    });
+                }
+                _ => st.idle.push(me),
+            }
         }
     }
 }
 
-fn finish_thread(
-    pid: Pid,
-    result: Result<i32, Box<dyn std::any::Any + Send>>,
-    action_tx: &Sender<(Pid, ProcAction)>,
-) {
-    let code = match result {
-        Ok(code) => code,
-        Err(payload) => match payload.downcast::<ProcExit>() {
-            Ok(pe) => match *pe {
-                ProcExit::Exited(code) => code,
-                ProcExit::Killed => return, // host already accounted for us
-            },
-            // A bug in the program itself: report a distinctive exit code.
-            Err(_) => 101,
-        },
-    };
-    let _ = action_tx.send((pid, ProcAction::Done(code)));
+impl<E: OsEngine + Send + 'static> Baton for Run<E> {
+    fn act(&self, worker: usize, wake: &Condvar, pid: Pid, action: ProcAction) -> SysReply {
+        let mut st = self.lock();
+        if st.outcome.is_some() {
+            return KILLED;
+        }
+        if let Some(reply) = self.guarded(&mut st, |st| self.handle(st, worker, pid, action)) {
+            return reply;
+        }
+        match self.wait(st, worker, wake) {
+            Some(Resume::Reply(_, reply)) => reply,
+            _ => KILLED,
+        }
+    }
 }

@@ -226,3 +226,72 @@ fn sys_exit_terminates_immediately() {
         other => panic!("{other:?}"),
     }
 }
+
+/// Payload of [`Buggy`]'s panic.
+#[derive(Debug, PartialEq)]
+struct EngineBug(u32);
+
+/// An engine with a bug: it answers `getpid` until the `fail_at`-th
+/// submission, where it panics with an [`EngineBug`] payload.
+#[derive(Default)]
+struct Buggy {
+    replies: Vec<(SyscallId, Pid, SysReply)>,
+    submits: u32,
+    fail_at: u32,
+}
+
+impl OsEngine for Buggy {
+    fn submit(&mut self, sid: SyscallId, pid: Pid, _call: Syscall) {
+        self.submits += 1;
+        if self.submits == self.fail_at {
+            std::panic::panic_any(EngineBug(self.submits));
+        }
+        self.replies.push((sid, pid, SysReply::Proc(pid)));
+    }
+    fn pump(&mut self) -> Vec<(SyscallId, Pid, SysReply)> {
+        std::mem::take(&mut self.replies)
+    }
+    fn take_kill_events(&mut self) -> Vec<Pid> {
+        Vec::new()
+    }
+    fn fire_next_timer(&mut self) -> bool {
+        false
+    }
+    fn shutdown_state(&self) -> Option<ShutdownKind> {
+        None
+    }
+    fn now(&self) -> u64 {
+        self.submits as u64
+    }
+    fn charge_user(&mut self, _units: u64) {}
+}
+
+#[test]
+fn engine_panic_is_reraised_from_run_with_its_payload() {
+    osiris_kernel::install_quiet_panic_hook();
+    let mut registry = ProgramRegistry::new();
+    registry.register("main", |sys| {
+        for _ in 0..10 {
+            if sys.getpid().is_err() {
+                return 1;
+            }
+        }
+        0
+    });
+    let mut host = Host::new(
+        Buggy {
+            fail_at: 4,
+            ..Default::default()
+        },
+        registry,
+    );
+    // The engine runs on the program's thread; its panic must not turn
+    // into the program's exit code 101 but unwind out of `run` itself.
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| host.run("main", &[])))
+        .expect_err("an engine panic must not be masked as a program exit");
+    let bug = payload
+        .downcast::<EngineBug>()
+        .expect("the original payload is re-raised");
+    assert_eq!(*bug, EngineBug(4));
+    assert_eq!(host.engine().submits, 4, "the engine is handed back");
+}

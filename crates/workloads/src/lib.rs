@@ -44,7 +44,7 @@ pub fn run_suite_with(
 }
 
 /// Runs the suite on an arbitrary engine (e.g. the monolith).
-pub fn run_suite_on<E: OsEngine>(engine: E) -> (RunOutcome, E) {
+pub fn run_suite_on<E: OsEngine + Send + 'static>(engine: E) -> (RunOutcome, E) {
     osiris_kernel::install_quiet_panic_hook();
     let (registry, _names) = build_testsuite();
     let mut host = Host::new(engine, registry);

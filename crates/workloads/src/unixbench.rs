@@ -365,7 +365,7 @@ pub const CYCLES_PER_SECOND: f64 = 1_000_000.0;
 /// Runs one benchmark on a fresh engine and computes its score. With
 /// `retry`, syscalls transparently retry on `ECRASH` (service-disruption
 /// mode).
-pub fn run_benchmark_with<E: OsEngine>(
+pub fn run_benchmark_with<E: OsEngine + Send + 'static>(
     engine: E,
     registry: ProgramRegistry,
     bench: &str,
@@ -394,7 +394,7 @@ pub fn run_benchmark_with<E: OsEngine>(
 }
 
 /// Runs one benchmark without ECRASH retry (the common case).
-pub fn run_benchmark<E: OsEngine>(
+pub fn run_benchmark<E: OsEngine + Send + 'static>(
     engine: E,
     registry: ProgramRegistry,
     bench: &str,

@@ -177,7 +177,7 @@ fn fingerprint(d: &[u8]) -> u64 {
     })
 }
 
-fn trace_on<E: osiris_kernel::OsEngine>(engine: E, ops: Vec<Op>) -> Vec<String> {
+fn trace_on<E: osiris_kernel::OsEngine + Send + 'static>(engine: E, ops: Vec<Op>) -> Vec<String> {
     osiris_kernel::install_quiet_panic_hook();
     let trace = Arc::new(Mutex::new(Vec::new()));
     let shared = Arc::clone(&trace);

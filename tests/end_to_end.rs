@@ -55,7 +55,7 @@ fn microkernel_and_monolith_agree_on_results() {
     // (timing differs, semantics must not). The program folds everything it
     // observes — file contents, child exit codes, data-store state — into
     // its exit code.
-    fn run_on<E: OsEngine>(engine: E) -> RunOutcome {
+    fn run_on<E: OsEngine + Send + 'static>(engine: E) -> RunOutcome {
         let mut registry = ProgramRegistry::new();
         registry.register("main", |sys| {
             use osiris::kernel::abi::{OpenFlags, SeekFrom};
